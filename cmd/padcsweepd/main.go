@@ -103,6 +103,20 @@ Run 'padcsweepd <subcommand> -h' for that subcommand's flags.
 `)
 }
 
+// Connection timeouts of the service's HTTP server. A client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no write
+// timeout: NDJSON row streams stay open for a whole campaign.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the service's HTTP server around h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve runs the daemon until SIGINT/SIGTERM. Graceful shutdown writes
 // no terminal journal event on purpose — an interrupted campaign resumes
 // on the next start.
@@ -149,7 +163,7 @@ func serve(args []string) error {
 		}
 	}
 	gate := sweepd.NewGate()
-	srv := &http.Server{Handler: gate}
+	srv := newServer(gate)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	logger.Info("listening", "addr", ln.Addr().String(), "data", *data, "workers", *jobs)

@@ -7,6 +7,7 @@ import (
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
 	"padc/internal/memctrl"
+	"padc/internal/runner"
 	"padc/internal/sim"
 	"padc/internal/stats"
 	"padc/internal/topology"
@@ -41,42 +42,18 @@ func AblationDropThreshold(sc Scale) *Table {
 		mk("apd-fixed-100K", fixed(100_000)),
 		mk("apd-dynamic (PADC)", nil),
 	}
-	mixes := Mixes(4, sc.Mixes4)
+	runs := grid(Mixes(4, sc.Mixes4), 4, sc, variants, onePoint(nil))[0]
 	t := &Table{
 		Title:  "Ablation: APD drop-threshold ladder vs fixed thresholds (4-core)",
 		Header: []string{"policy", "WS", "bus(K)", "dropped"},
 	}
-	alone := NewAloneIPC()
-	type acc struct {
-		ws, bus float64
-		drop    uint64
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(mixes))
-	}
-	type job struct{ vi, mi int }
-	var jobs []job
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		r := RunMix(mixes[j.mi], 4, sc, variants[j.vi], alone, nil)
-		grid[j.vi][j.mi] = acc{r.WS, float64(r.Bus.Total()), r.Dropped}
-	})
 	for vi, v := range variants {
-		var a acc
-		for mi := range mixes {
-			a.ws += grid[vi][mi].ws
-			a.bus += grid[vi][mi].bus
-			a.drop += grid[vi][mi].drop
+		var drop uint64
+		for _, r := range runs[vi] {
+			drop += r.Dropped
 		}
-		n := float64(len(mixes))
-		t.Add(v.Name, fmt.Sprintf("%.3f", a.ws/n), fmt.Sprintf("%.1f", a.bus/n/1000),
-			fmt.Sprintf("%d", a.drop/uint64(len(mixes))))
+		t.Add(v.Name, fmt.Sprintf("%.3f", mean(runs[vi], wsOf)), fmt.Sprintf("%.1f", mean(runs[vi], busOf)/1000),
+			fmt.Sprintf("%d", drop/uint64(len(runs[vi]))))
 	}
 	return t
 }
@@ -88,7 +65,6 @@ func AblationPromotionThreshold(sc Scale) *Table {
 	var variants []Variant
 	variants = append(variants, DemandFirst(), DemandPrefEqual())
 	for _, th := range []float64{0.25, 0.50, 0.75, 0.85, 0.95} {
-		th := th
 		variants = append(variants, Variant{
 			Name: fmt.Sprintf("aps@%.0f%%", th*100),
 			Apply: func(c *sim.Config) {
@@ -98,9 +74,7 @@ func AblationPromotionThreshold(sc Scale) *Table {
 			},
 		})
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: APS promotion threshold sweep (4-core)", sc, variants, points)
+	return wsSweep("Ablation: APS promotion threshold sweep (4-core)", Mixes(4, sc.Mixes4), sc, variants, onePoint(nil))
 }
 
 // AblationRuleOrder ablates the scheduler's priority-rule ordering itself
@@ -118,9 +92,7 @@ func AblationRuleOrder(sc Scale) *Table {
 		RuleStack("rules:critical,rowhit,fcfs"),             // APS minus urgency
 		RuleStack("rules:critical,rowhit,urgent,rank,fcfs"), // APS + §6.5 ranking
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: scheduler priority-rule order (4-core WS)", sc, variants, points)
+	return wsSweep("Ablation: scheduler priority-rule order (4-core WS)", Mixes(4, sc.Mixes4), sc, variants, onePoint(nil))
 }
 
 // AblationRefresh charges the simulator with DRAM maintenance (a cost the
@@ -144,57 +116,34 @@ func AblationRefresh(sc Scale) *Table {
 		withPage("PADC-closed-page", PADC(), dram.ClosedPage),
 		withPage("PADC-adaptive-page", PADC(), dram.AdaptivePage),
 	}
-	modes := []refresh.Mode{refresh.Off, refresh.PerBank, refresh.AllBank}
-	mixes := Mixes(4, sc.Mixes4)
-
-	type acc struct {
-		ws float64
-		rf stats.RefreshStats
+	var points []point
+	for _, mode := range []refresh.Mode{refresh.Off, refresh.PerBank, refresh.AllBank} {
+		points = append(points, point{mode.String(), func(c *sim.Config) { c.DRAM.Refresh.Mode = mode }})
 	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(modes))
-	}
-	type job struct{ vi, pi int }
-	var jobs []job
-	for vi := range variants {
-		for pi := range modes {
-			jobs = append(jobs, job{vi, pi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		mode := modes[j.pi]
-		mutate := func(c *sim.Config) { c.DRAM.Refresh.Mode = mode }
-		alone := NewAloneIPC() // per job: the alone baseline must see the same refresh mode
-		a := acc{}
-		for _, mix := range mixes {
-			r := RunMix(mix, 4, sc, variants[j.vi], alone, mutate)
-			a.ws += r.WS
-			a.rf.Issued += r.Res.Refresh.Issued
-			a.rf.Postponed += r.Res.Refresh.Postponed
-			a.rf.PulledIn += r.Res.Refresh.PulledIn
-			a.rf.Forced += r.Res.Refresh.Forced
-			a.rf.BlockedCycles += r.Res.Refresh.BlockedCycles
-		}
-		grid[j.vi][j.pi] = a
-	})
+	runs := grid(Mixes(4, sc.Mixes4), 4, sc, variants, points)
 
 	t := &Table{
 		Title:  "Ablation: DRAM refresh mode x page policy (4-core)",
 		Header: []string{"policy", "refresh", "WS", "refreshes", "postponed", "pulled-in", "forced", "blocked(K)"},
 	}
-	n := uint64(len(mixes))
 	for vi, v := range variants {
-		for pi, mode := range modes {
-			a := grid[vi][pi]
-			t.Add(v.Name, mode.String(),
-				fmt.Sprintf("%.3f", a.ws/float64(n)),
-				fmt.Sprintf("%d", a.rf.Issued/n),
-				fmt.Sprintf("%d", a.rf.Postponed/n),
-				fmt.Sprintf("%d", a.rf.PulledIn/n),
-				fmt.Sprintf("%d", a.rf.Forced/n),
-				fmt.Sprintf("%.1f", float64(a.rf.BlockedCycles)/float64(n)/1000))
+		for pi, p := range points {
+			var rf stats.RefreshStats
+			for _, r := range runs[pi][vi] {
+				rf.Issued += r.Refresh.Issued
+				rf.Postponed += r.Refresh.Postponed
+				rf.PulledIn += r.Refresh.PulledIn
+				rf.Forced += r.Refresh.Forced
+				rf.BlockedCycles += r.Refresh.BlockedCycles
+			}
+			n := uint64(len(runs[pi][vi]))
+			t.Add(v.Name, p.label,
+				fmt.Sprintf("%.3f", mean(runs[pi][vi], wsOf)),
+				fmt.Sprintf("%d", rf.Issued/n),
+				fmt.Sprintf("%d", rf.Postponed/n),
+				fmt.Sprintf("%d", rf.PulledIn/n),
+				fmt.Sprintf("%d", rf.Forced/n),
+				fmt.Sprintf("%.1f", float64(rf.BlockedCycles)/float64(n)/1000))
 		}
 	}
 	return t
@@ -215,74 +164,42 @@ func AblationTopology(sc Scale) *Table {
 		APSOnly(),
 		PADC(),
 	}
-	topos := []string{"flat", "far-tier"}
-	mixes := Mixes(4, sc.Mixes4)
-
-	type acc struct {
-		ws, bus                        float64
-		serviced, farServiced, farSent float64
-		farUsed                        float64
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(topos))
-	}
-	type job struct{ vi, ti int }
-	var jobs []job
-	for vi := range variants {
-		for ti := range topos {
-			jobs = append(jobs, job{vi, ti})
+	points := []point{{"flat", nil}, {"far-tier", func(c *sim.Config) {
+		t, err := topology.Preset("far-tier", c.DRAM.Channels)
+		if err != nil {
+			panic(err) // the preset name is static
 		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		var mutate func(*sim.Config)
-		if topos[j.ti] != "flat" {
-			name := topos[j.ti]
-			mutate = func(c *sim.Config) {
-				t, err := topology.Preset(name, c.DRAM.Channels)
-				if err != nil {
-					panic(err) // preset names above are static
-				}
-				c.Topology = &t
-			}
-		}
-		alone := NewAloneIPC() // per job: the alone baseline must see the same wiring
-		a := acc{}
-		for _, mix := range mixes {
-			r := RunMix(mix, 4, sc, variants[j.vi], alone, mutate)
-			a.ws += r.WS
-			a.bus += float64(r.Bus.Total())
-			a.serviced += float64(r.Res.Serviced)
-			for _, d := range r.Res.Domains {
-				if d.LinkCycles > 0 {
-					a.farServiced += float64(d.Serviced)
-					a.farSent += float64(d.PrefSent)
-					a.farUsed += float64(d.PrefUsed)
-				}
-			}
-		}
-		grid[j.vi][j.ti] = a
-	})
+		c.Topology = &t
+	}}}
+	runs := grid(Mixes(4, sc.Mixes4), 4, sc, variants, points)
 
 	t := &Table{
 		Title:  "Ablation: memory topology, flat vs far-tier (4-core)",
 		Header: []string{"policy", "topology", "WS", "bus(K)", "far-share", "far-acc"},
 	}
-	n := float64(len(mixes))
 	for vi, v := range variants {
-		for ti, topo := range topos {
-			a := grid[vi][ti]
+		for pi, p := range points {
+			var serviced, farServiced, farSent, farUsed float64
+			for _, r := range runs[pi][vi] {
+				serviced += float64(r.Serviced)
+				for _, d := range r.Domains {
+					if d.LinkCycles > 0 {
+						farServiced += float64(d.Serviced)
+						farSent += float64(d.PrefSent)
+						farUsed += float64(d.PrefUsed)
+					}
+				}
+			}
 			farShare, farAcc := "-", "-"
-			if a.farServiced > 0 && a.serviced > 0 {
-				farShare = fmt.Sprintf("%.1f%%", a.farServiced/a.serviced*100)
+			if farServiced > 0 && serviced > 0 {
+				farShare = fmt.Sprintf("%.1f%%", farServiced/serviced*100)
 			}
-			if a.farSent > 0 {
-				farAcc = fmt.Sprintf("%.1f%%", a.farUsed/a.farSent*100)
+			if farSent > 0 {
+				farAcc = fmt.Sprintf("%.1f%%", farUsed/farSent*100)
 			}
-			t.Add(v.Name, topo,
-				fmt.Sprintf("%.3f", a.ws/n),
-				fmt.Sprintf("%.1f", a.bus/n/1000),
+			t.Add(v.Name, p.label,
+				fmt.Sprintf("%.3f", mean(runs[pi][vi], wsOf)),
+				fmt.Sprintf("%.1f", mean(runs[pi][vi], busOf)/1000),
 				farShare, farAcc)
 		}
 	}
@@ -330,7 +247,7 @@ func AblationMemSide(sc Scale) *Table {
 		ms   stats.MemSideStats
 	}
 	grid := make([]cell, len(mixes)*len(chans)*len(pols))
-	parallel(len(grid), func(i int) {
+	runner.Parallel(len(grid), func(i int) {
 		mi := i / (len(chans) * len(pols))
 		ci := i / len(pols) % len(chans)
 		pi := i % len(pols)
@@ -383,13 +300,12 @@ func AblationMemSide(sc Scale) *Table {
 // against permutation-based mapping and a single-bank strawman, isolating
 // how much of each policy's behavior depends on bank-level parallelism.
 func AblationAddressMapping(sc Scale) *Table {
-	points := []sweepPoint{
-		{Label: "8-banks", Mutate: nil},
-		{Label: "8-banks-perm", Mutate: func(c *sim.Config) { c.DRAM.Permutation = true }},
-		{Label: "4-banks", Mutate: func(c *sim.Config) { c.DRAM.Banks = 4 }},
-		{Label: "16-banks", Mutate: func(c *sim.Config) { c.DRAM.Banks = 16 }},
+	points := []point{
+		{"8-banks", nil},
+		{"8-banks-perm", func(c *sim.Config) { c.DRAM.Permutation = true }},
+		{"4-banks", func(c *sim.Config) { c.DRAM.Banks = 4 }},
+		{"16-banks", func(c *sim.Config) { c.DRAM.Banks = 16 }},
 	}
 	variants := []Variant{DemandFirst(), DemandPrefEqual(), APSOnly(), PADC()}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: bank count and mapping (4-core WS)", sc, variants, points)
+	return wsSweep("Ablation: bank count and mapping (4-core WS)", Mixes(4, sc.Mixes4), sc, variants, points)
 }

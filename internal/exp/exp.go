@@ -2,22 +2,21 @@
 // evaluation (§6). Each runner builds the simulated systems, executes the
 // workloads, and returns a Table holding the same rows or series the paper
 // plots, so the benchmark harness (bench_test.go) and the padcsim CLI can
-// regenerate every experiment.
+// regenerate every experiment. The multicore runners share one grid engine
+// (grid.go) and differ only in their variants, machine points and the
+// reducer that turns the scored runs into rows.
 package exp
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"padc/internal/core"
 	"padc/internal/memctrl"
-	"padc/internal/runner"
 	"padc/internal/sim"
 	"padc/internal/stats"
 	"padc/internal/telemetry"
-	"padc/internal/workload"
 )
 
 // Scale controls how much simulation an experiment runs: Quick keeps
@@ -200,146 +199,12 @@ func baseConfig(ncores int, sc Scale) sim.Config {
 }
 
 // runOne builds and runs a single system; errors surface as panics since
-// experiment configs are statically correct by construction.
-func runOne(cfg sim.Config) stats.Results {
+// experiment configs are statically correct by construction. It is a
+// variable so tests can count the runs an experiment makes.
+var runOne = func(cfg sim.Config) stats.Results {
 	res, err := sim.Run(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return res
-}
-
-// parallel fans n jobs out on the shared worker pool (internal/runner);
-// the padcsim -jobs flag sizes it process-wide.
-func parallel(n int, job func(i int)) { runner.Parallel(n, job) }
-
-// AloneIPC computes each benchmark's IPC when running alone on the
-// ncores-provisioned system with the demand-first policy (the paper's
-// IPC_alone definition), memoized per provisioning.
-type AloneIPC struct {
-	mu    sync.Mutex
-	cache map[string]float64
-}
-
-// NewAloneIPC returns an empty cache.
-func NewAloneIPC() *AloneIPC { return &AloneIPC{cache: make(map[string]float64)} }
-
-// Get returns IPC_alone for prof under the given provisioning, computing
-// and caching it on first use. mutate optionally applies non-policy system
-// changes (cache size, channels, ...) that must match the together-run.
-func (a *AloneIPC) Get(prof workload.Profile, ncores int, sc Scale, mutate func(*sim.Config)) float64 {
-	key := fmt.Sprintf("%s/%d", prof.Name, ncores)
-	if mutate != nil {
-		key += "/mut"
-	}
-	a.mu.Lock()
-	if v, ok := a.cache[key]; ok {
-		a.mu.Unlock()
-		return v
-	}
-	a.mu.Unlock()
-
-	cfg := baseConfig(ncores, sc)
-	cfg.Policy = memctrl.DemandFirst
-	cfg.PADC.EnableAPD = false
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	cfg.Workload = []workload.Profile{prof}
-	res := runOne(cfg)
-	v := res.PerCore[0].IPC()
-
-	a.mu.Lock()
-	a.cache[key] = v
-	a.mu.Unlock()
-	return v
-}
-
-// MixResult summarizes one multiprogrammed run.
-type MixResult struct {
-	WS, HS, UF float64
-	Bus        stats.BusTraffic
-	Dropped    uint64
-	IS         []float64
-	Res        stats.Results
-}
-
-// RunMix executes mix under variant v on an ncores system and computes the
-// speedup metrics against the demand-first alone baselines.
-func RunMix(mix []workload.Profile, ncores int, sc Scale, v Variant, alone *AloneIPC, mutate func(*sim.Config)) MixResult {
-	cfg := baseConfig(ncores, sc)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	v.Apply(&cfg)
-	cfg.Workload = append([]workload.Profile(nil), mix...)
-	res := runOne(cfg)
-
-	ipcAlone := make([]float64, len(mix))
-	for i, p := range mix {
-		ipcAlone[i] = alone.Get(p, ncores, sc, mutate)
-	}
-	return MixResult{
-		WS:      stats.WS(res.PerCore, ipcAlone),
-		HS:      stats.HS(res.PerCore, ipcAlone),
-		UF:      stats.UF(res.PerCore, ipcAlone),
-		Bus:     res.Bus,
-		Dropped: res.Dropped,
-		IS:      stats.IndividualSpeedups(res.PerCore, ipcAlone),
-		Res:     res,
-	}
-}
-
-// AverageMixes runs every mix under every variant and returns per-variant
-// averaged WS/HS/UF/traffic — the shape of Figures 9, 16, 17, 19–22.
-func AverageMixes(mixes [][]workload.Profile, ncores int, sc Scale, variants []Variant, mutate func(*sim.Config)) *Table {
-	alone := NewAloneIPC()
-	// Warm the alone cache in parallel first.
-	uniq := map[string]workload.Profile{}
-	for _, m := range mixes {
-		for _, p := range m {
-			uniq[p.Name] = p
-		}
-	}
-	names := make([]string, 0, len(uniq))
-	for n := range uniq {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parallel(len(names), func(i int) { alone.Get(uniq[names[i]], ncores, sc, mutate) })
-
-	type cell struct{ ws, hs, uf, bus float64 }
-	agg := make([][]cell, len(variants))
-	for vi := range variants {
-		agg[vi] = make([]cell, len(mixes))
-	}
-	type job struct{ vi, mi int }
-	jobs := make([]job, 0, len(variants)*len(mixes))
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		r := RunMix(mixes[j.mi], ncores, sc, variants[j.vi], alone, mutate)
-		agg[j.vi][j.mi] = cell{r.WS, r.HS, r.UF, float64(r.Bus.Total())}
-	})
-
-	t := &Table{
-		Title:  fmt.Sprintf("%d-core average over %d workloads", ncores, len(mixes)),
-		Header: []string{"policy", "WS", "HS", "UF", "bus(Klines)"},
-	}
-	for vi, v := range variants {
-		var ws, hs, uf, bus float64
-		for _, c := range agg[vi] {
-			ws += c.ws
-			hs += c.hs
-			uf += c.uf
-			bus += c.bus
-		}
-		n := float64(len(mixes))
-		t.Addf(v.Name, ws/n, hs/n, uf/n, bus/n/1000)
-	}
-	return t
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"padc/internal/core"
 	"padc/internal/memctrl"
 	"padc/internal/sim"
 	"padc/internal/workload"
@@ -15,6 +14,43 @@ const mixSeed = 0x9a7c
 // Mixes returns the deterministic workload draw for an n-core experiment.
 func Mixes(ncores, count int) [][]workload.Profile {
 	return workload.Mixes(count, ncores, mixSeed+uint64(ncores))
+}
+
+// AverageMixes runs every mix under every variant and returns per-variant
+// averaged WS/HS/UF/traffic — the shape of Figures 9, 16, 17, 19–22.
+// mutate, when non-nil, changes the machine of every run, alone baselines
+// included.
+func AverageMixes(mixes [][]workload.Profile, ncores int, sc Scale, variants []Variant, mutate func(*sim.Config)) *Table {
+	runs := grid(mixes, ncores, sc, variants, onePoint(mutate))[0]
+	t := &Table{
+		Title:  fmt.Sprintf("%d-core average over %d workloads", ncores, len(mixes)),
+		Header: []string{"policy", "WS", "HS", "UF", "bus(Klines)"},
+	}
+	for vi, v := range variants {
+		r := runs[vi]
+		t.Addf(v.Name, mean(r, wsOf), mean(r, func(r mixRun) float64 { return r.HS }),
+			mean(r, func(r mixRun) float64 { return r.UF }), mean(r, busOf)/1000)
+	}
+	return t
+}
+
+// oneMix runs a single mix under each variant on the 4-core baseline.
+func oneMix(mix []workload.Profile, sc Scale, variants []Variant) []mixRun {
+	runs := grid([][]workload.Profile{mix}, 4, sc, variants, onePoint(nil))[0]
+	out := make([]mixRun, len(variants))
+	for vi := range runs {
+		out[vi] = runs[vi][0]
+	}
+	return out
+}
+
+// byName resolves benchmark names to profiles.
+func byName(names []string) []workload.Profile {
+	mix := make([]workload.Profile, len(names))
+	for i, n := range names {
+		mix[i] = workload.MustByName(n)
+	}
+	return mix
 }
 
 // Fig9 reproduces Figure 9: average 2-core performance and traffic.
@@ -41,21 +77,11 @@ func Fig17(sc Scale) *Table {
 // caseStudy runs one named 4-core mix under the standard variants and
 // reports per-application speedups plus system metrics (Figures 10–15).
 func caseStudy(title string, names []string, sc Scale) *Table {
-	alone := NewAloneIPC()
-	mix := make([]workload.Profile, len(names))
-	for i, n := range names {
-		mix[i] = workload.MustByName(n)
-	}
 	t := &Table{Title: title}
 	t.Header = append(append([]string{"policy"}, names...), "WS", "HS", "UF", "bus(K)", "dropped")
 	variants := StandardVariants()
-	rows := make([]MixResult, len(variants))
-	parallel(len(variants), func(i int) {
-		rows[i] = RunMix(mix, 4, sc, variants[i], alone, nil)
-	})
-	for i, v := range variants {
-		r := rows[i]
-		cells := []string{v.Name}
+	for i, r := range oneMix(byName(names), sc, variants) {
+		cells := []string{variants[i].Name}
 		for _, is := range r.IS {
 			cells = append(cells, fmt.Sprintf("%.3f", is))
 		}
@@ -92,10 +118,6 @@ func Fig14(sc Scale) *Table {
 // case study.
 func Table8(sc Scale) *Table {
 	names := []string{"omnetpp", "libquantum", "galgel", "GemsFDTD"}
-	mix := make([]workload.Profile, len(names))
-	for i, n := range names {
-		mix[i] = workload.MustByName(n)
-	}
 	noU := func(on bool, apd bool, label string) Variant {
 		return Variant{label, func(c *sim.Config) {
 			c.Policy = memctrl.APS
@@ -110,14 +132,10 @@ func Table8(sc Scale) *Table {
 		noU(false, true, "aps-apd-no-urgent"),
 		noU(true, true, "aps-apd (PADC)"),
 	}
-	alone := NewAloneIPC()
-	rows := make([]MixResult, len(variants))
-	parallel(len(variants), func(i int) { rows[i] = RunMix(mix, 4, sc, variants[i], alone, nil) })
 	t := &Table{Title: "Table 8: effect of prioritizing urgent requests"}
 	t.Header = append(append([]string{"policy"}, names...), "UF", "WS", "HS")
-	for i, v := range variants {
-		r := rows[i]
-		cells := []string{v.Name}
+	for i, r := range oneMix(byName(names), sc, variants) {
+		cells := []string{variants[i].Name}
 		for _, is := range r.IS {
 			cells = append(cells, fmt.Sprintf("%.3f", is))
 		}
@@ -131,19 +149,11 @@ func Table8(sc Scale) *Table {
 // application (libquantum for Table 9, milc for Table 10) on the 4-core
 // system.
 func Table9(bench string, sc Scale) *Table {
-	mix := []workload.Profile{
-		workload.MustByName(bench), workload.MustByName(bench),
-		workload.MustByName(bench), workload.MustByName(bench),
-	}
-	alone := NewAloneIPC()
 	variants := StandardVariants()
-	rows := make([]MixResult, len(variants))
-	parallel(len(variants), func(i int) { rows[i] = RunMix(mix, 4, sc, variants[i], alone, nil) })
 	t := &Table{Title: fmt.Sprintf("Tables 9/10: four identical %s instances", bench)}
 	t.Header = []string{"policy", "IS0", "IS1", "IS2", "IS3", "WS", "HS", "UF"}
-	for i, v := range variants {
-		r := rows[i]
-		t.Addf(v.Name, r.IS[0], r.IS[1], r.IS[2], r.IS[3], r.WS, r.HS, r.UF)
+	for i, r := range oneMix(byName([]string{bench, bench, bench, bench}), sc, variants) {
+		t.Addf(variants[i].Name, r.IS[0], r.IS[1], r.IS[2], r.IS[3], r.WS, r.HS, r.UF)
 	}
 	return t
 }
@@ -173,5 +183,3 @@ func Fig21(ncores int, sc Scale) *Table {
 	t.Title = fmt.Sprintf("Figures 21/22: dual memory controllers, %d cores", ncores)
 	return t
 }
-
-var _ = core.Config{}

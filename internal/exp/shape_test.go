@@ -3,7 +3,14 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"padc/internal/core"
+	"padc/internal/dram/refresh"
+	"padc/internal/sim"
+	"padc/internal/stats"
+	"padc/internal/workload"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -78,15 +85,74 @@ func TestFig6QuickShape(t *testing.T) {
 	}
 }
 
-func TestAloneIPCCaches(t *testing.T) {
+// TestGridAloneBaselinesFollowPoint checks the grid's alone phase on a
+// two-machine grid (refresh off vs per-bank): each point's IPC_alone must
+// be the demand-first single-benchmark run on that point's machine, and
+// the phase must run each distinct benchmark exactly once per point.
+func TestGridAloneBaselinesFollowPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	a := NewAloneIPC()
-	mix := Mixes(4, 1)[0]
-	v1 := a.Get(mix[0], 4, tinyScale(), nil)
-	v2 := a.Get(mix[0], 4, tinyScale(), nil)
-	if v1 != v2 || v1 <= 0 {
-		t.Fatalf("alone IPC cache broken: %v %v", v1, v2)
+	sc := Scale{Insts: 20_000, Mixes4: 1}
+	mixes := Mixes(4, 1)
+	modes := []refresh.Mode{refresh.Off, refresh.PerBank}
+	var points []point
+	for _, m := range modes {
+		points = append(points, point{m.String(), func(c *sim.Config) { c.DRAM.Refresh.Mode = m }})
+	}
+	distinct := map[string]workload.Profile{}
+	for _, p := range mixes[0] {
+		distinct[p.Name] = p
+	}
+
+	var aloneRuns, cellRuns atomic.Int64
+	orig := runOne
+	runOne = func(cfg sim.Config) stats.Results {
+		if len(cfg.Workload) == 1 {
+			aloneRuns.Add(1)
+		} else {
+			cellRuns.Add(1)
+		}
+		return orig(cfg)
+	}
+	defer func() { runOne = orig }()
+	runs := grid(mixes, 4, sc, []Variant{PADC()}, points)
+	if got, want := aloneRuns.Load(), int64(len(points)*len(distinct)); got != want {
+		t.Errorf("alone phase ran %d jobs, want points x distinct benchmarks = %d", got, want)
+	}
+	if got := cellRuns.Load(); got != int64(len(points)) {
+		t.Errorf("grid phase ran %d jobs, want %d", got, len(points))
+	}
+	if len(runs) != 2 || len(runs[0]) != 1 || len(runs[0][0]) != 1 {
+		t.Fatalf("grid shape %dx%dx%d, want 2x1x1", len(runs), len(runs[0]), len(runs[0][0]))
+	}
+
+	alone := aloneIPC(mixes, 4, sc, points)
+	moved := false
+	for pi, m := range modes {
+		if len(alone[pi]) != len(distinct) {
+			t.Fatalf("%s: %d alone baselines, want %d", m, len(alone[pi]), len(distinct))
+		}
+		for name, prof := range distinct {
+			cfg := sim.Baseline(4)
+			cfg.TargetInsts = sc.Insts
+			cfg.PADC = core.DefaultConfig()
+			DemandFirst().Apply(&cfg)
+			cfg.DRAM.Refresh.Mode = m
+			cfg.Workload = []workload.Profile{prof}
+			res, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := res.PerCore[0].IPC(); alone[pi][name] != want {
+				t.Errorf("%s/%s: alone IPC %v, direct run %v", m, name, alone[pi][name], want)
+			}
+			if pi > 0 && alone[pi][name] != alone[0][name] {
+				moved = true
+			}
+		}
+	}
+	if !moved {
+		t.Error("per-bank refresh left every alone IPC unchanged; the test cannot tell the points apart")
 	}
 }

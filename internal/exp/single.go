@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"padc/internal/memctrl"
-	"padc/internal/sim"
+	"padc/internal/runner"
 	"padc/internal/stats"
 	"padc/internal/workload"
 )
@@ -47,7 +47,7 @@ func SingleCoreSweep(names []string, variants []Variant, sc Scale) map[string]ma
 		}
 	}
 	out := make([]SingleRun, len(jobs))
-	parallel(len(jobs), func(i int) {
+	runner.Parallel(len(jobs), func(i int) {
 		j := jobs[i]
 		prof := workload.MustByName(names[j.b])
 		cfg := baseConfig(1, sc)
@@ -274,15 +274,8 @@ func Fig2() *Table {
 		Header: []string{"policy", "X(pref,rowA)", "Y(dem,rowB)", "Z(pref,rowA)"},
 	}
 	for _, pol := range []memctrl.Policy{memctrl.DemandFirst, memctrl.DemandPrefEqual} {
-		x, y, z := fig2Scenario(pol)
+		x, y, z := fig2Run(pol)
 		t.Add(pol.String(), fmt.Sprintf("%d", x), fmt.Sprintf("%d", y), fmt.Sprintf("%d", z))
 	}
 	return t
 }
-
-// fig2Scenario is shared with the unit tests.
-func fig2Scenario(pol memctrl.Policy) (x, y, z uint64) {
-	return fig2Run(pol)
-}
-
-var _ = sim.Config{} // sim is used by the shared helpers above

@@ -9,84 +9,32 @@ import (
 	"padc/internal/workload"
 )
 
-// sweepVariantsOverMixes averages WS over the 4-core mixes for each
-// (variant, system-mutation) pair — the engine behind the §6.7–6.14
-// sensitivity figures.
-func sweepVariantsOverMixes(title string, sc Scale, variants []Variant, points []struct {
-	Label  string
-	Mutate func(*sim.Config)
-}) *Table {
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4), title, sc, variants, points)
-}
-
-// sweepVariantsOverMixesOn is sweepVariantsOverMixes with an explicit
-// workload set.
-func sweepVariantsOverMixesOn(mixes [][]workload.Profile, title string, sc Scale, variants []Variant, points []struct {
-	Label  string
-	Mutate func(*sim.Config)
-}) *Table {
-	t := &Table{Title: title}
-	t.Header = append([]string{"policy"}, labelsOf(points)...)
-	type cell struct{ ws float64 }
-	grid := make([][]cell, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]cell, len(points))
+// wsSweep tabulates mean WS over mixes on the 4-core system, one row per
+// variant and one column per point — the shape of the §6.7–6.14
+// sensitivity figures and the ablations.
+func wsSweep(title string, mixes [][]workload.Profile, sc Scale, variants []Variant, points []point) *Table {
+	runs := grid(mixes, 4, sc, variants, points)
+	t := &Table{Title: title, Header: []string{"policy"}}
+	for _, p := range points {
+		t.Header = append(t.Header, p.label)
 	}
-	type job struct{ vi, pi int }
-	var jobs []job
-	for vi := range variants {
-		for pi := range points {
-			jobs = append(jobs, job{vi, pi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		alone := NewAloneIPC()
-		var ws float64
-		for _, mix := range mixes {
-			r := RunMix(mix, 4, sc, variants[j.vi], alone, points[j.pi].Mutate)
-			ws += r.WS
-		}
-		grid[j.vi][j.pi] = cell{ws / float64(len(mixes))}
-	})
 	for vi, v := range variants {
 		row := []string{v.Name}
 		for pi := range points {
-			row = append(row, fmt.Sprintf("%.3f", grid[vi][pi].ws))
+			row = append(row, fmt.Sprintf("%.3f", mean(runs[pi][vi], wsOf)))
 		}
 		t.Add(row...)
 	}
 	return t
 }
 
-func labelsOf(points []struct {
-	Label  string
-	Mutate func(*sim.Config)
-}) []string {
-	out := make([]string, len(points))
-	for i, p := range points {
-		out[i] = p.Label
-	}
-	return out
-}
-
-type sweepPoint = struct {
-	Label  string
-	Mutate func(*sim.Config)
-}
-
 // Fig23 reproduces Figure 23: WS across DRAM row-buffer sizes 2KB–128KB.
 func Fig23(sc Scale) *Table {
-	var points []sweepPoint
+	var points []point
 	for _, kb := range []uint64{2, 4, 8, 16, 32, 64, 128} {
-		kb := kb
-		points = append(points, sweepPoint{
-			Label:  fmt.Sprintf("%dKB", kb),
-			Mutate: func(c *sim.Config) { c.DRAM.RowBytes = kb << 10 },
-		})
+		points = append(points, point{fmt.Sprintf("%dKB", kb), func(c *sim.Config) { c.DRAM.RowBytes = kb << 10 }})
 	}
-	variants := []Variant{NoPref(), DemandFirst(), DemandPrefEqual(), APSOnly(), PADC()}
-	return sweepVariantsOverMixes("Figure 23: WS vs DRAM row-buffer size (4-core)", sc, variants, points)
+	return wsSweep("Figure 23: WS vs DRAM row-buffer size (4-core)", Mixes(4, sc.Mixes4), sc, StandardVariants(), points)
 }
 
 // Fig24 reproduces Figure 24: the closed-row policy.
@@ -105,8 +53,7 @@ func Fig24(sc Scale) *Table {
 		closed("PADC-closed", PADC()),
 		PADC(),
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixes("Figure 24: closed-row policy (4-core)", sc, variants, points)
+	return wsSweep("Figure 24: closed-row policy (4-core)", Mixes(4, sc.Mixes4), sc, variants, onePoint(nil))
 }
 
 // Fig25 reproduces Figure 25: WS across per-core L2 sizes 512KB–8MB. One
@@ -115,24 +62,19 @@ func Fig24(sc Scale) *Table {
 // simulation-friendly run lengths; the paper's 200M-instruction SPEC runs
 // carry that reuse naturally.
 func Fig25(sc Scale) *Table {
-	var points []sweepPoint
+	var points []point
 	for _, kb := range []uint64{512, 1024, 2048, 4096, 8192} {
-		kb := kb
 		label := fmt.Sprintf("%dKB", kb)
 		if kb >= 1024 {
 			label = fmt.Sprintf("%dMB", kb/1024)
 		}
-		points = append(points, sweepPoint{
-			Label:  label,
-			Mutate: func(c *sim.Config) { c.L2.Bytes = kb << 10 },
-		})
+		points = append(points, point{label, func(c *sim.Config) { c.L2.Bytes = kb << 10 }})
 	}
-	variants := []Variant{NoPref(), DemandFirst(), DemandPrefEqual(), APSOnly(), PADC()}
 	mixes := Mixes(4, sc.Mixes4)
 	for i := range mixes {
 		mixes[i][0] = workload.CacheSensitive(fmt.Sprintf("cacheset-%d", i), 24576)
 	}
-	return sweepVariantsOverMixesOn(mixes, "Figure 25: WS vs per-core L2 size (4-core)", sc, variants, points)
+	return wsSweep("Figure 25: WS vs per-core L2 size (4-core)", mixes, sc, StandardVariants(), points)
 }
 
 // Fig26 reproduces Figures 26 (4-core) and 27 (8-core): a shared last-
@@ -157,49 +99,21 @@ func Fig26(ncores int, sc Scale) *Table {
 // Fig28 reproduces Figure 28: PADC under the stride, C/DC and Markov
 // prefetchers.
 func Fig28(sc Scale) *Table {
-	mixes := Mixes(4, sc.Mixes4)
+	var points []point
+	for _, pk := range []sim.PrefetcherKind{sim.PFStride, sim.PFCDC, sim.PFMarkov} {
+		points = append(points, point{pk.String(), func(c *sim.Config) { c.Prefetcher = pk }})
+	}
+	runs := grid(Mixes(4, sc.Mixes4), 4, sc, []Variant{NoPref(), DemandFirst(), DemandPrefEqual(), PADC()}, points)
 	t := &Table{
 		Title:  "Figure 28: PADC with other prefetchers (4-core WS / bus Klines)",
 		Header: []string{"prefetcher", "no-pref", "demand-first", "demand-pref-equal", "PADC", "bus-df(K)", "bus-padc(K)"},
 	}
-	for _, pk := range []sim.PrefetcherKind{sim.PFStride, sim.PFCDC, sim.PFMarkov} {
-		pk := pk
-		with := func(c *sim.Config) { c.Prefetcher = pk }
-		variants := []Variant{NoPref(), DemandFirst(), DemandPrefEqual(), PADC()}
-		alone := NewAloneIPC()
-		ws := make([]float64, len(variants))
-		bus := make([]float64, len(variants))
-		type job struct{ vi, mi int }
-		var jobs []job
-		for vi := range variants {
-			for mi := range mixes {
-				jobs = append(jobs, job{vi, mi})
-			}
-		}
-		wsAcc := make([][]float64, len(variants))
-		busAcc := make([][]float64, len(variants))
-		for vi := range variants {
-			wsAcc[vi] = make([]float64, len(mixes))
-			busAcc[vi] = make([]float64, len(mixes))
-		}
-		parallel(len(jobs), func(i int) {
-			j := jobs[i]
-			r := RunMix(mixes[j.mi], 4, sc, variants[j.vi], alone, with)
-			wsAcc[j.vi][j.mi] = r.WS
-			busAcc[j.vi][j.mi] = float64(r.Bus.Total())
-		})
-		for vi := range variants {
-			for mi := range mixes {
-				ws[vi] += wsAcc[vi][mi]
-				bus[vi] += busAcc[vi][mi]
-			}
-			ws[vi] /= float64(len(mixes))
-			bus[vi] /= float64(len(mixes))
-		}
-		t.Add(pk.String(),
-			fmt.Sprintf("%.3f", ws[0]), fmt.Sprintf("%.3f", ws[1]),
-			fmt.Sprintf("%.3f", ws[2]), fmt.Sprintf("%.3f", ws[3]),
-			fmt.Sprintf("%.1f", bus[1]/1000), fmt.Sprintf("%.1f", bus[3]/1000))
+	for pi, p := range points {
+		r := runs[pi]
+		t.Add(p.label,
+			fmt.Sprintf("%.3f", mean(r[0], wsOf)), fmt.Sprintf("%.3f", mean(r[1], wsOf)),
+			fmt.Sprintf("%.3f", mean(r[2], wsOf)), fmt.Sprintf("%.3f", mean(r[3], wsOf)),
+			fmt.Sprintf("%.1f", mean(r[1], busOf)/1000), fmt.Sprintf("%.1f", mean(r[3], busOf)/1000))
 	}
 	return t
 }
@@ -229,37 +143,13 @@ func Fig29(sc Scale) *Table {
 		withFilter("aps-fdp", APSOnly(), sim.FilterFDP),
 		PADC(),
 	}
-	mixes := Mixes(4, sc.Mixes4)
+	runs := grid(Mixes(4, sc.Mixes4), 4, sc, variants, onePoint(nil))[0]
 	t := &Table{
 		Title:  "Figures 29-30: prefetch filtering (DDPF/FDP) vs APD (4-core)",
 		Header: []string{"policy", "WS", "bus(K)"},
 	}
-	alone := NewAloneIPC()
-	type acc struct{ ws, bus float64 }
-	out := make([]acc, len(variants))
-	type job struct{ vi, mi int }
-	var jobs []job
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
-		}
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(mixes))
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		r := RunMix(mixes[j.mi], 4, sc, variants[j.vi], alone, nil)
-		grid[j.vi][j.mi] = acc{r.WS, float64(r.Bus.Total())}
-	})
-	for vi := range variants {
-		for mi := range mixes {
-			out[vi].ws += grid[vi][mi].ws
-			out[vi].bus += grid[vi][mi].bus
-		}
-		n := float64(len(mixes))
-		t.Add(variants[vi].Name, fmt.Sprintf("%.3f", out[vi].ws/n), fmt.Sprintf("%.1f", out[vi].bus/n/1000))
+	for vi, v := range variants {
+		t.Add(v.Name, fmt.Sprintf("%.3f", mean(runs[vi], wsOf)), fmt.Sprintf("%.1f", mean(runs[vi], busOf)/1000))
 	}
 	return t
 }
@@ -278,8 +168,7 @@ func Fig31(sc Scale) *Table {
 		APSOnly(), perm("aps-only-perm", APSOnly()),
 		PADC(), perm("PADC-perm", PADC()),
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixes("Figure 31: permutation-based interleaving (4-core)", sc, variants, points)
+	return wsSweep("Figure 31: permutation-based interleaving (4-core)", Mixes(4, sc.Mixes4), sc, variants, onePoint(nil))
 }
 
 // Fig32 reproduces Figure 32: PADC on a runahead-execution CMP.
@@ -296,8 +185,7 @@ func Fig32(sc Scale) *Table {
 		APSOnly(), ra("aps-only-ra", APSOnly()),
 		PADC(), ra("PADC-ra", PADC()),
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixes("Figure 32: runahead execution (4-core)", sc, variants, points)
+	return wsSweep("Figure 32: runahead execution (4-core)", Mixes(4, sc.Mixes4), sc, variants, onePoint(nil))
 }
 
 // Table1 reproduces Tables 1 and 2: the PADC hardware cost on the 4-core
@@ -322,5 +210,3 @@ func Table1() *Table {
 	t.Add("total w/o P", "", fmt.Sprintf("%d bits", cost.TotalBitsWithoutP()))
 	return t
 }
-
-var _ = workload.Profile{}

@@ -231,11 +231,16 @@ func TestParallelCoversAllIndices(t *testing.T) {
 // BenchmarkSweepParallel measures the same 16-job sweep at one worker and
 // at GOMAXPROCS, so `go test -bench SweepParallel` demonstrates the
 // wall-clock speedup on multi-core runners (the two sub-benchmarks' ns/op
-// are directly comparable — identical work, different pool widths).
+// are directly comparable — identical work, different pool widths). With
+// GOMAXPROCS=1 only jobs=1 runs, so no sub-benchmark name repeats.
 func BenchmarkSweepParallel(b *testing.B) {
 	spec := testSpec()
 	spec.Insts = 20_000
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	workerCounts := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workerCounts = append(workerCounts, n)
+	}
+	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("jobs=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(spec, Options{Workers: workers})
