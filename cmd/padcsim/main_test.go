@@ -12,64 +12,20 @@ import (
 	"padc"
 )
 
-func TestApplyPolicyRejectsUnknown(t *testing.T) {
-	cfg := padc.DefaultSystem(1)
-	err := applyPolicy(&cfg, "frfcfs-typo")
-	if err == nil {
-		t.Fatal("unknown policy accepted")
+// TestBuildConfigNoPrefDropsPrefetcher pins -policy no-pref against the
+// default -prefetcher stream: the policy has the last word, so the
+// machine runs without a prefetcher, without APD and demand-first.
+func TestBuildConfigNoPrefDropsPrefetcher(t *testing.T) {
+	cfg, _, err := buildConfig("swim", "no-pref", "stream", "off", "open", "", "events", false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "frfcfs-typo") {
-		t.Fatalf("error should name the bad value: %v", err)
+	rc, err := cfg.Describe()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestApplyPolicyKnownValues(t *testing.T) {
-	for _, s := range []string{"no-pref", "demand-first", "equal", "prefetch-first", "aps", "padc", "padc-rank"} {
-		cfg := padc.DefaultSystem(1)
-		if err := applyPolicy(&cfg, s); err != nil {
-			t.Errorf("policy %q rejected: %v", s, err)
-		}
-	}
-	// The padc spelling must enable dropping; the rigid ones must not.
-	cfg := padc.DefaultSystem(1)
-	applyPolicy(&cfg, "padc")
-	if !cfg.APD {
-		t.Error("padc policy should enable APD")
-	}
-	applyPolicy(&cfg, "demand-first")
-	if cfg.APD {
-		t.Error("demand-first policy should disable APD")
-	}
-}
-
-func TestApplyPrefetcherRejectsUnknown(t *testing.T) {
-	cfg := padc.DefaultSystem(1)
-	err := applyPrefetcher(&cfg, "ghb")
-	if err == nil {
-		t.Fatal("unknown prefetcher accepted")
-	}
-	if !strings.Contains(err.Error(), "ghb") {
-		t.Fatalf("error should name the bad value: %v", err)
-	}
-	for _, valid := range prefetcherNames() {
-		if !strings.Contains(err.Error(), valid) {
-			t.Fatalf("error should list valid name %q: %v", valid, err)
-		}
-	}
-}
-
-func TestApplyPrefetcherKnownValues(t *testing.T) {
-	want := map[string]padc.Prefetcher{
-		"none": padc.NoPrefetcher, "stream": padc.Stream, "stride": padc.Stride,
-		"cdc": padc.CDC, "markov": padc.Markov, "dspatch": padc.DSPatch,
-	}
-	for s, pf := range want {
-		cfg := padc.DefaultSystem(1)
-		if err := applyPrefetcher(&cfg, s); err != nil {
-			t.Errorf("prefetcher %q rejected: %v", s, err)
-		} else if cfg.Prefetcher != pf {
-			t.Errorf("prefetcher %q mapped to %v, want %v", s, cfg.Prefetcher, pf)
-		}
+	if rc.Prefetcher != "none" || rc.APD || rc.RuleStack != "rules:demandfirst,rowhit,fcfs" {
+		t.Fatalf("no-pref resolved to prefetcher=%q apd=%v stack=%q", rc.Prefetcher, rc.APD, rc.RuleStack)
 	}
 }
 
@@ -182,13 +138,18 @@ func TestWriteResolvedConfigJSON(t *testing.T) {
 }
 
 func TestWriteResolvedConfigRejectsBadModes(t *testing.T) {
-	for _, tc := range [][2]string{{"hourly", "open"}, {"off", "ajar"}} {
-		cfg, names, err := buildConfig("swim", "padc", "stream", tc[0], tc[1], "", "events", false, 0, 0)
+	for _, tc := range [][4]string{
+		{"padc", "stream", "hourly", "open"},
+		{"padc", "stream", "off", "ajar"},
+		{"frfcfs-typo", "stream", "off", "open"},
+		{"padc", "ghb", "off", "open"},
+	} {
+		cfg, names, err := buildConfig("swim", tc[0], tc[1], tc[2], tc[3], "", "events", false, 0, 0)
 		if err != nil {
 			t.Fatal(err) // buildConfig defers vocabulary checks to Describe/Run
 		}
 		if err := writeResolvedConfig(io.Discard, cfg, names); err == nil {
-			t.Errorf("refresh=%q page=%q accepted", tc[0], tc[1])
+			t.Errorf("policy=%q prefetcher=%q refresh=%q page=%q accepted", tc[0], tc[1], tc[2], tc[3])
 		}
 	}
 }

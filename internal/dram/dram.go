@@ -78,13 +78,11 @@ type Config struct {
 	RowBytes    uint64 // row-buffer size per bank
 	LineBytes   uint64 // cache-line (transfer) size
 	Timing      Timing
-	ClosedRow   bool // closed-row policy instead of open-row (alias for Page: ClosedPage)
 	Permutation bool // permutation-based bank index remapping (Zhang et al.)
 	TickEvery   uint64
 
 	// Page selects the row-buffer management policy (open, closed, or the
-	// adaptive per-bank predictor). The legacy ClosedRow flag is honored
-	// when Page is left at its OpenPage zero value.
+	// adaptive per-bank predictor).
 	Page PagePolicy
 
 	// Refresh configures the maintenance engine (off by default); the
@@ -102,18 +100,6 @@ func (c Config) EffectiveTickEvery() uint64 {
 		return 4
 	}
 	return c.TickEvery
-}
-
-// EffectivePage resolves the page policy, folding the legacy ClosedRow
-// flag into the Page field's vocabulary.
-func (c Config) EffectivePage() PagePolicy {
-	if c.Page != OpenPage {
-		return c.Page
-	}
-	if c.ClosedRow {
-		return ClosedPage
-	}
-	return OpenPage
 }
 
 // DefaultConfig is the paper's baseline: one channel, 8 banks, 4KB rows,
@@ -260,7 +246,7 @@ type Channel struct {
 
 // NewChannel builds the banks for one channel of cfg.
 func NewChannel(cfg Config) *Channel {
-	ch := &Channel{cfg: cfg, page: cfg.EffectivePage(), Banks: make([]Bank, cfg.Banks)}
+	ch := &Channel{cfg: cfg, page: cfg.Page, Banks: make([]Bank, cfg.Banks)}
 	for i := range ch.Banks {
 		ch.Banks[i].OpenRow = -1
 	}

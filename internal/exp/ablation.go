@@ -23,8 +23,7 @@ import (
 func AblationDropThreshold(sc Scale) *Table {
 	mk := func(name string, ladder []core.DropLevel) Variant {
 		return Variant{name, func(c *sim.Config) {
-			c.Policy = memctrl.APS
-			c.PADC.EnableAPD = true
+			PADC().Apply(c)
 			if ladder != nil {
 				c.PADC.DropLadder = ladder
 			}
@@ -68,9 +67,8 @@ func AblationPromotionThreshold(sc Scale) *Table {
 		variants = append(variants, Variant{
 			Name: fmt.Sprintf("aps@%.0f%%", th*100),
 			Apply: func(c *sim.Config) {
-				c.Policy = memctrl.APS
+				APSOnly().Apply(c)
 				c.PADC.PromotionThreshold = th
-				c.PADC.EnableAPD = false
 			},
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"padc/internal/core"
-	"padc/internal/memctrl"
 	"padc/internal/sim"
 	"padc/internal/stats"
 	"padc/internal/telemetry"
@@ -124,65 +123,42 @@ type Variant struct {
 	Apply func(*sim.Config)
 }
 
-// NoPref disables prefetching entirely.
-func NoPref() Variant {
-	return Variant{"no-pref", func(c *sim.Config) {
-		c.Prefetcher = sim.PFNone
-		c.PADC.EnableAPD = false
+// namedPolicy is the Variant running the named controller (a
+// sim.PolicyNames name or a "rules:" stack) under a display label; the
+// tables print the label.
+func namedPolicy(label, name string) Variant {
+	return Variant{label, func(c *sim.Config) {
+		if err := sim.ApplyPolicy(c, name); err != nil {
+			panic(fmt.Sprintf("exp: %v", err))
+		}
 	}}
 }
+
+// NoPref disables prefetching entirely.
+func NoPref() Variant { return namedPolicy("no-pref", "no-pref") }
 
 // DemandFirst is the paper's baseline rigid policy.
-func DemandFirst() Variant {
-	return Variant{"demand-first", func(c *sim.Config) {
-		c.Policy = memctrl.DemandFirst
-		c.PADC.EnableAPD = false
-	}}
-}
+func DemandFirst() Variant { return namedPolicy("demand-first", "demand-first") }
 
 // DemandPrefEqual is plain FR-FCFS.
-func DemandPrefEqual() Variant {
-	return Variant{"demand-pref-equal", func(c *sim.Config) {
-		c.Policy = memctrl.DemandPrefEqual
-		c.PADC.EnableAPD = false
-	}}
-}
+func DemandPrefEqual() Variant { return namedPolicy("demand-pref-equal", "equal") }
 
 // PrefetchFirst is the footnote-2 strawman.
-func PrefetchFirst() Variant {
-	return Variant{"prefetch-first", func(c *sim.Config) {
-		c.Policy = memctrl.PrefetchFirst
-		c.PADC.EnableAPD = false
-	}}
-}
+func PrefetchFirst() Variant { return namedPolicy("prefetch-first", "prefetch-first") }
 
 // APSOnly enables adaptive scheduling without dropping.
-func APSOnly() Variant {
-	return Variant{"aps-only", func(c *sim.Config) {
-		c.Policy = memctrl.APS
-		c.PADC.EnableAPD = false
-	}}
-}
+func APSOnly() Variant { return namedPolicy("aps-only", "aps") }
 
 // PADC is the full mechanism: APS plus APD.
-func PADC() Variant {
-	return Variant{"aps-apd (PADC)", func(c *sim.Config) { c.Policy = memctrl.APS }}
-}
+func PADC() Variant { return namedPolicy("aps-apd (PADC)", "padc") }
 
 // PADCRank is PADC with the §6.5 shortest-job ranking.
-func PADCRank() Variant {
-	return Variant{"PADC-rank", func(c *sim.Config) { c.Policy = memctrl.APSRank }}
-}
+func PADCRank() Variant { return namedPolicy("PADC-rank", "padc-rank") }
 
 // RuleStack schedules with an explicit priority-rule stack from the
 // sched kernel (e.g. "rules:critical,rowhit,urgent,fcfs"). APD is off so
 // the run isolates the priority order under study.
-func RuleStack(rules string) Variant {
-	return Variant{rules, func(c *sim.Config) {
-		c.Rules = rules
-		c.PADC.EnableAPD = false
-	}}
-}
+func RuleStack(rules string) Variant { return namedPolicy(rules, rules) }
 
 // StandardVariants returns the five configurations most figures compare.
 func StandardVariants() []Variant {

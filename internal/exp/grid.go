@@ -3,7 +3,6 @@ package exp
 import (
 	"sort"
 
-	"padc/internal/memctrl"
 	"padc/internal/runner"
 	"padc/internal/sim"
 	"padc/internal/stats"
@@ -91,8 +90,7 @@ func aloneIPC(mixes [][]workload.Profile, ncores int, sc Scale, points []point) 
 	runner.Parallel(len(ipc), func(i int) {
 		pi, name := i/len(names), names[i%len(names)]
 		cfg := baseConfig(ncores, sc)
-		cfg.Policy = memctrl.DemandFirst
-		cfg.PADC.EnableAPD = false
+		DemandFirst().Apply(&cfg)
 		if m := points[pi].mutate; m != nil {
 			m(&cfg)
 		}

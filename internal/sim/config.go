@@ -5,12 +5,14 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"padc/internal/cache"
 	"padc/internal/core"
 	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/memctrl"
+	"padc/internal/memctrl/sched"
 	"padc/internal/telemetry"
 	"padc/internal/telemetry/flight"
 	"padc/internal/telemetry/lifecycle"
@@ -93,6 +95,99 @@ func ParseKernel(s string) (Kernel, error) {
 
 // KernelNames returns the accepted ParseKernel vocabulary.
 func KernelNames() []string { return []string{"events", "stepped"} }
+
+// ParsePrefetcher is the inverse of PrefetcherKind.String. The empty
+// string is PFNone, so zero-valued configs run without prefetching.
+func ParsePrefetcher(s string) (PrefetcherKind, error) { return parseKind("prefetcher", s, PFDSPatch) }
+
+// PrefetcherNames returns the accepted ParsePrefetcher vocabulary.
+func PrefetcherNames() []string { return kindNames(PFDSPatch) }
+
+// ParseFilter is the inverse of FilterKind.String. The empty string is
+// FilterNone.
+func ParseFilter(s string) (FilterKind, error) { return parseKind("filter", s, FilterFDP) }
+
+// parseKind inverts String over the kinds 0..last, whose zero is the
+// "none" kind "" also names.
+func parseKind[K interface {
+	~int
+	String() string
+}](what, s string, last K) (K, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for k := K(0); k <= last; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown %s %q (%s)", what, s, strings.Join(kindNames(last), ", "))
+}
+
+// kindNames lists the String spellings of the kinds 0..last.
+func kindNames[K interface {
+	~int
+	String() string
+}](last K) []string {
+	var out []string
+	for k := K(0); k <= last; k++ {
+		out = append(out, k.String())
+	}
+	return out
+}
+
+// policies is the paper's set of controllers under comparison, by the
+// name every configuration surface uses: the scheduling policy each runs
+// and whether APD drops its prefetches. no-pref also removes the
+// prefetcher (ApplyPolicy).
+var policies = []struct {
+	name   string
+	policy memctrl.Policy
+	apd    bool
+}{
+	{"no-pref", memctrl.DemandFirst, false},
+	{"demand-first", memctrl.DemandFirst, false},
+	{"equal", memctrl.DemandPrefEqual, false},
+	{"prefetch-first", memctrl.PrefetchFirst, false},
+	{"aps", memctrl.APS, false},
+	{"padc", memctrl.APS, true},
+	{"padc-rank", memctrl.APSRank, true},
+}
+
+// ApplyPolicy configures c as the named controller: it sets the
+// scheduling policy (or rule stack) and the APD switch, and for no-pref
+// clears the prefetcher, so set the prefetcher first. Besides PolicyNames
+// it accepts an explicit "rules:" stack (see internal/memctrl/sched),
+// which schedules with exactly that priority order and APD off, so a run
+// isolates the ordering under study.
+func ApplyPolicy(c *Config, name string) error {
+	if strings.HasPrefix(name, sched.Prefix) {
+		if _, err := sched.Parse(name); err != nil {
+			return err
+		}
+		c.Rules, c.PADC.EnableAPD = name, false
+		return nil
+	}
+	for _, p := range policies {
+		if p.name == name {
+			c.Policy, c.Rules, c.PADC.EnableAPD = p.policy, "", p.apd
+			if name == "no-pref" {
+				c.Prefetcher = PFNone
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("sim: unknown policy %q (%s, or %s<list>)", name, strings.Join(PolicyNames(), ", "), sched.Prefix)
+}
+
+// PolicyNames returns the named controllers ApplyPolicy accepts.
+func PolicyNames() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.name
+	}
+	return out
+}
 
 // FilterKind optionally wraps the prefetcher with a §6.12 comparison
 // mechanism.

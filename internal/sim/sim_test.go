@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"padc/internal/cpu"
+	"padc/internal/dram"
 	"padc/internal/dram/refresh"
 	"padc/internal/memctrl"
 	"padc/internal/stats"
@@ -227,7 +228,7 @@ func TestIdenticalAppsBehaveSymmetrically(t *testing.T) {
 func TestSystemVariantsRun(t *testing.T) {
 	mods := map[string]func(*Config){
 		"dual-channel": func(c *Config) { c.DRAM.Channels = 2 },
-		"closed-row":   func(c *Config) { c.DRAM.ClosedRow = true },
+		"closed-row":   func(c *Config) { c.DRAM.Page = dram.ClosedPage },
 		"permutation":  func(c *Config) { c.DRAM.Permutation = true },
 		"shared-l2": func(c *Config) {
 			c.SharedL2 = true

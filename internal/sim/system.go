@@ -40,8 +40,8 @@ type coreCtx struct {
 	mshr *cache.MSHR  // ditto
 
 	pf      prefetch.Prefetcher
-	fdp     *prefetch.FDP    // non-nil when Filter == FilterFDP
-	ddpf    *prefetch.DDPF   // non-nil when Filter == FilterDDPF
+	fdp     *prefetch.FDP     // non-nil when Filter == FilterFDP
+	ddpf    *prefetch.DDPF    // non-nil when Filter == FilterDDPF
 	dspatch *prefetch.DSPatch // non-nil when Prefetcher == PFDSPatch
 
 	// Running counters (snapshotted into frozen when the core reaches its
@@ -208,12 +208,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Explicit rule stacks always see the PADC accuracy meter (rules that
-	// never consult it simply ignore it); the legacy enum path keeps its
-	// historical wiring of handing it only to the adaptive policies. Each
-	// controller sees its own domain's view, so APS criticality follows
-	// tier-local accuracy.
-	wantState := cfg.Rules != "" || cfg.Policy == memctrl.APS || cfg.Policy == memctrl.APSRank
 	if cfg.Flight != nil {
 		cfg.Flight.Configure(nchan, cfg.DRAM.Banks)
 		if len(topo.Domains) > 1 {
@@ -229,10 +223,10 @@ func New(cfg Config) (*System, error) {
 	gi := 0
 	for d, dom := range topo.Domains {
 		dc := s.domCfg[d]
-		var st memctrl.CoreState
-		if wantState {
-			st = s.padc.DomainView(d)
-		}
+		// Every controller sees its own domain's PADC view, so APS
+		// criticality follows tier-local accuracy; stacks without the
+		// critical, urgent or rank rules never consult it.
+		st := s.padc.DomainView(d)
 		for lc := 0; lc < dom.Channels; lc++ {
 			s.chans[gi] = dram.NewChannel(dc)
 			s.ctrls[gi] = memctrl.NewStack(stack, s.chans[gi], cfg.BufferSlots, st)

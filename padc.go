@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"padc/internal/core"
 	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
@@ -34,64 +33,30 @@ import (
 	"padc/internal/workload"
 )
 
-// Policy selects how the memory controller prioritizes demands versus
-// prefetches.
-type Policy int
-
-const (
-	// DemandPrefEqual treats prefetches like demands (plain FR-FCFS).
-	DemandPrefEqual Policy = iota
-	// DemandFirst always prioritizes demand requests.
-	DemandFirst
-	// PrefetchFirst always prioritizes prefetch requests.
-	PrefetchFirst
-	// APS adapts priority to measured per-core prefetch accuracy; with
-	// SystemConfig.APD enabled this is the full PADC.
-	APS
-	// APSRank adds the shortest-job ranking stage (§6.5) to APS.
-	APSRank
-)
-
-// Prefetcher selects the per-core prefetch engine.
-type Prefetcher int
-
-const (
-	NoPrefetcher Prefetcher = iota
-	Stream                  // POWER4/5-style stream prefetcher (paper baseline)
-	Stride                  // PC-based stride
-	CDC                     // CZone/Delta-Correlation
-	Markov                  // correlation (Markov) prefetcher
-	DSPatch                 // dual-spatial-pattern prefetcher (bandwidth-adaptive bias)
-)
-
-// Filter optionally wraps the prefetcher with one of the §6.12 comparison
-// mechanisms.
-type Filter int
-
-const (
-	NoFilter Filter = iota
-	DDPF            // dynamic data prefetch filtering
-	FDP             // feedback-directed prefetching
-)
-
 // SystemConfig describes a simulated machine. DefaultSystem returns the
 // paper's baseline; zero-valued fields of a hand-built config are invalid.
 type SystemConfig struct {
-	Cores      int
-	Policy     Policy
-	Prefetcher Prefetcher
-	Filter     Filter
+	Cores int
 
-	// Rules, when non-empty, overrides Policy with an explicit scheduling
-	// rule stack — "rules:critical,rowhit,urgent,fcfs" — composed from the
-	// priority rules in internal/memctrl/sched (critical, rowhit, urgent,
-	// demandfirst, prefetchfirst, rank, fcfs). Legacy policy names are
-	// accepted as aliases. This is the knob for §6-style priority-order
-	// ablations.
-	Rules string
+	// Policy names the memory controller: "no-pref",
+	// "demand-first", "equal" (plain FR-FCFS), "prefetch-first", "aps"
+	// (adaptive prefetch scheduling alone), "padc" (APS plus adaptive
+	// prefetch dropping) or "padc-rank" (PADC with the §6.5 ranking). The
+	// name decides APD; "no-pref" also removes the prefetcher. A
+	// "rules:critical,rowhit,urgent,fcfs" stack schedules with exactly
+	// that order of the priority rules in internal/memctrl/sched
+	// (critical, rowhit, urgent, demandfirst, prefetchfirst, rank, fcfs),
+	// APD off: the knob for §6-style priority-order ablations.
+	Policy string
 
-	APD     bool // adaptive prefetch dropping (with APS this forms PADC)
-	Urgency bool // priority rule 3 (boost demands of inaccurate cores)
+	// Prefetcher names the per-core prefetch engine: "stream" (the paper's POWER4/5-style baseline), "stride", "cdc",
+	// "markov", "dspatch", or "" / "none".
+	Prefetcher string
+
+	// Filter optionally wraps the prefetcher with a §6.12 comparison
+	// mechanism: "ddpf" (dynamic data prefetch filtering), "fdp"
+	// (feedback-directed prefetching), or "" / "none".
+	Filter string
 
 	// MemSide enables the DROPLET-style memory-side prefetch path: each
 	// memory controller generates same-row next-line candidates from the
@@ -111,7 +76,6 @@ type SystemConfig struct {
 	Topology    string
 	L2KB        uint64 // last-level cache per core (or total when SharedL2)
 	SharedL2    bool
-	ClosedRow   bool
 	Permutation bool // permutation-based bank interleaving
 	Runahead    bool
 
@@ -125,8 +89,7 @@ type SystemConfig struct {
 
 	// PagePolicy selects row-buffer management: "" or "open" (default),
 	// "closed", or "adaptive" (per-bank keep-open/precharge predictor
-	// trained on recent row-buffer outcomes). "closed" is equivalent to
-	// the legacy ClosedRow flag.
+	// trained on recent row-buffer outcomes).
 	PagePolicy string
 
 	TargetInsts uint64 // instructions each core retires before stats freeze
@@ -198,10 +161,8 @@ func DefaultSystem(ncores int) SystemConfig {
 	base := sim.Baseline(ncores)
 	return SystemConfig{
 		Cores:       ncores,
-		Policy:      APS,
-		Prefetcher:  Stream,
-		APD:         true,
-		Urgency:     true,
+		Policy:      "padc",
+		Prefetcher:  "stream",
 		Channels:    1,
 		RowBufferKB: base.DRAM.RowBytes >> 10,
 		L2KB:        base.L2.Bytes >> 10,
@@ -212,33 +173,19 @@ func DefaultSystem(ncores int) SystemConfig {
 // toSim lowers the public config onto the internal simulator config.
 func (c SystemConfig) toSim() (sim.Config, error) {
 	cfg := sim.Baseline(c.Cores)
-	cfg.Rules = c.Rules
-	cfg.Policy = map[Policy]memctrl.Policy{
-		DemandPrefEqual: memctrl.DemandPrefEqual,
-		DemandFirst:     memctrl.DemandFirst,
-		PrefetchFirst:   memctrl.PrefetchFirst,
-		APS:             memctrl.APS,
-		APSRank:         memctrl.APSRank,
-	}[c.Policy]
-	cfg.Prefetcher = map[Prefetcher]sim.PrefetcherKind{
-		NoPrefetcher: sim.PFNone,
-		Stream:       sim.PFStream,
-		Stride:       sim.PFStride,
-		CDC:          sim.PFCDC,
-		Markov:       sim.PFMarkov,
-		DSPatch:      sim.PFDSPatch,
-	}[c.Prefetcher]
+	pf, err := sim.ParsePrefetcher(c.Prefetcher)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg.Prefetcher = pf
+	// After the prefetcher: "no-pref" removes it.
+	if err := sim.ApplyPolicy(&cfg, c.Policy); err != nil {
+		return sim.Config{}, err
+	}
+	if cfg.Filter, err = sim.ParseFilter(c.Filter); err != nil {
+		return sim.Config{}, err
+	}
 	cfg.MemSide = c.MemSide
-	cfg.Filter = map[Filter]sim.FilterKind{
-		NoFilter: sim.FilterNone,
-		DDPF:     sim.FilterDDPF,
-		FDP:      sim.FilterFDP,
-	}[c.Filter]
-
-	pc := core.DefaultConfig()
-	pc.EnableAPD = c.APD
-	pc.EnableUrgency = c.Urgency
-	cfg.PADC = pc
 
 	if c.Channels > 0 {
 		cfg.DRAM.Channels = c.Channels
@@ -254,7 +201,6 @@ func (c SystemConfig) toSim() (sim.Config, error) {
 		cfg.L2.Ways = 4 * c.Cores
 		cfg.MSHR = cfg.BufferSlots
 	}
-	cfg.DRAM.ClosedRow = c.ClosedRow
 	cfg.DRAM.Permutation = c.Permutation
 	mode, err := refresh.ParseMode(c.RefreshMode)
 	if err != nil {
@@ -425,7 +371,7 @@ func (c SystemConfig) Describe() (ResolvedConfig, error) {
 			RowBytes:    cfg.DRAM.RowBytes,
 			LineBytes:   cfg.DRAM.LineBytes,
 			Permutation: cfg.DRAM.Permutation,
-			PagePolicy:  cfg.DRAM.EffectivePage().String(),
+			PagePolicy:  cfg.DRAM.Page.String(),
 			TRP:         cfg.DRAM.Timing.TRP,
 			TRCD:        cfg.DRAM.Timing.TRCD,
 			CL:          cfg.DRAM.Timing.CL,

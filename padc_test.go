@@ -3,6 +3,10 @@ package padc
 import (
 	"strings"
 	"testing"
+
+	"padc/internal/memctrl"
+	"padc/internal/runner"
+	"padc/internal/sim"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -56,15 +60,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 func TestSystemConfigVariantsRun(t *testing.T) {
 	mods := []func(*SystemConfig){
-		func(c *SystemConfig) { c.Policy = DemandFirst },
-		func(c *SystemConfig) { c.Policy = DemandPrefEqual },
-		func(c *SystemConfig) { c.Policy = PrefetchFirst },
-		func(c *SystemConfig) { c.Policy = APSRank },
-		func(c *SystemConfig) { c.Prefetcher = Stride },
-		func(c *SystemConfig) { c.Filter = DDPF },
-		func(c *SystemConfig) { c.Filter = FDP },
+		func(c *SystemConfig) { c.Policy = "demand-first" },
+		func(c *SystemConfig) { c.Policy = "equal" },
+		func(c *SystemConfig) { c.Policy = "prefetch-first" },
+		func(c *SystemConfig) { c.Policy = "padc-rank" },
+		func(c *SystemConfig) { c.Prefetcher = "stride" },
+		func(c *SystemConfig) { c.Filter = "ddpf" },
+		func(c *SystemConfig) { c.Filter = "fdp" },
 		func(c *SystemConfig) { c.Channels = 2 },
-		func(c *SystemConfig) { c.ClosedRow = true },
+		func(c *SystemConfig) { c.PagePolicy = "closed" },
 		func(c *SystemConfig) { c.Permutation = true },
 		func(c *SystemConfig) { c.Runahead = true },
 		func(c *SystemConfig) { c.SharedL2 = true; c.L2KB = 1024 },
@@ -76,6 +80,33 @@ func TestSystemConfigVariantsRun(t *testing.T) {
 		mod(&cfg)
 		if _, err := Run(cfg, []string{"swim", "eon"}); err != nil {
 			t.Errorf("variant %d failed: %v", i, err)
+		}
+	}
+}
+
+// TestPolicyNamesSameMachineAcrossSurfaces checks that each policy name
+// builds the same controller through SystemConfig and through a sweep
+// spec: the same rule stack, APD switch and prefetcher.
+func TestPolicyNamesSameMachineAcrossSurfaces(t *testing.T) {
+	for _, name := range append(sim.PolicyNames(), "rules:critical,rowhit,fcfs") {
+		cfg := DefaultSystem(4)
+		cfg.Policy = name
+		rc, err := cfg.Describe()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		jobs, err := runner.Spec{Policies: []string{name}, Workloads: [][]string{{"swim"}}}.Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sc := jobs[0].Config
+		stack, err := memctrl.ResolveStack(sc.Policy, sc.Rules)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rc.RuleStack != stack.String() || rc.APD != sc.PADC.EnableAPD || rc.Prefetcher != sc.Prefetcher.String() {
+			t.Errorf("%s: SystemConfig gives stack=%q apd=%v pf=%s, spec gives stack=%q apd=%v pf=%s",
+				name, rc.RuleStack, rc.APD, rc.Prefetcher, stack.String(), sc.PADC.EnableAPD, sc.Prefetcher)
 		}
 	}
 }
